@@ -54,9 +54,11 @@ type CacheStats struct {
 	// sub-plan layer (see subplan.go): every whole-graph miss resolves each
 	// non-trivial component against it, so after a graph mutation the hit
 	// count shows exactly how much planning the delta reused.
-	// SubPlanEvictions counts sub-plans dropped by the sub-plan LRU bound.
+	// SubPlanEvictions counts sub-plans released with their last owning
+	// entry (evicted or invalidated).
 	SubPlanHits, SubPlanMisses, SubPlanEvictions int64
-	// SubPlanEntries is the current number of cached component sub-plans.
+	// SubPlanEntries is the sub-plan index size: the distinct component
+	// sub-plans owned by the cached evaluations.
 	SubPlanEntries int
 	// EngineRefactorizations, EngineParametricSlides,
 	// EngineParametricCheapSolves, and EngineIncrementalFallbacks sum the
@@ -144,12 +146,9 @@ type PlanCache struct {
 	inflight  map[cacheKey]*flight
 	stats     CacheStats
 
-	// Sub-plan layer (see subplan.go): per-component grid evaluations
-	// keyed by component fingerprint + options digest, bounded by a
-	// separate entry-count LRU. Not persisted in snapshots.
-	subCap     int
-	subLL      *list.List // front = most recently used
-	subEntries map[subPlanKey]*list.Element
+	// subs is the sub-plan index (see subplan.go): the component
+	// sub-plans of the cached evaluations, reference-counted over them.
+	subs map[subPlanKey]*subRef
 
 	// gen counts persisted-state changes — inserts, loads, evictions,
 	// invalidations, and hits (a hit refreshes the recency order and the
@@ -167,13 +166,11 @@ func NewPlanCache(capacity int) *PlanCache {
 		capacity = DefaultPlanCacheCapacity
 	}
 	return &PlanCache{
-		cap:        capacity,
-		ll:         list.New(),
-		entries:    make(map[cacheKey]*list.Element),
-		inflight:   make(map[cacheKey]*flight),
-		subCap:     DefaultSubPlanCapacity,
-		subLL:      list.New(),
-		subEntries: make(map[subPlanKey]*list.Element),
+		cap:      capacity,
+		ll:       list.New(),
+		entries:  make(map[cacheKey]*list.Element),
+		inflight: make(map[cacheKey]*flight),
+		subs:     make(map[subPlanKey]*subRef),
 	}
 }
 
@@ -208,6 +205,14 @@ func NewPlanCacheWeighted(maxWeight int64) *PlanCache {
 // the evaluating caller is canceled, a surviving waiter takes over the
 // evaluation rather than inheriting the cancelation.
 func (c *PlanCache) GridEval(ctx context.Context, g *graph.Graph, opts Options) (ge *GridEval, hit bool, err error) {
+	return c.GridEvalCSR(ctx, graph.NewCSR(g), nil, opts)
+}
+
+// GridEvalCSR is GridEval on an existing snapshot of the graph. A miss
+// may reuse the component sub-plans of prev, an earlier evaluation such as
+// a session's pre-delta plan, so untouched components skip re-planning
+// even after prev's own entry has left the cache. prev may be nil.
+func (c *PlanCache) GridEvalCSR(ctx context.Context, csr *graph.CSR, prev *GridEval, opts Options) (ge *GridEval, hit bool, err error) {
 	// Tracing (internal/obs): a "core.plan" span brackets the lookup; on a
 	// miss the forestlp sweep span nests under it. cache_hit mirrors the
 	// returned hit flag so a trace alone answers "did this query plan?".
@@ -225,11 +230,10 @@ func (c *PlanCache) GridEval(ctx context.Context, g *graph.Graph, opts Options) 
 	if opts.Epsilon == 0 {
 		opts.Epsilon = 1 // as in EvaluateGrid: ε does not enter grid values
 	}
-	opts, err = opts.withDefaults(g.N())
+	opts, err = opts.withDefaults(csr.N())
 	if err != nil {
 		return nil, false, err
 	}
-	csr := graph.NewCSR(g)
 	key := cacheKey{fp: csr.Fingerprint(), opts: planOptionsDigest(opts)}
 
 	// Each logical lookup counts exactly once — Hits, Misses, or Coalesced
@@ -277,7 +281,7 @@ func (c *PlanCache) GridEval(ctx context.Context, g *graph.Graph, opts Options) 
 		// sub-plan layer (subplan.go) — bit-identical to the monolithic
 		// evaluateGridCSR, but after a graph mutation only the touched
 		// components re-plan.
-		f.ge, f.err = c.assembleGridCSR(ctx, csr, key.fp, opts)
+		f.ge, f.err = c.assembleGridCSR(ctx, csr, key.fp, prev, opts)
 		// Failpoint between evaluation and admission: a firing site turns a
 		// finished evaluation into an error *before* the insert gate below,
 		// proving no partial or fault-tainted plan can enter the cache (the
@@ -335,6 +339,7 @@ func (c *PlanCache) admitLocked(key cacheKey, ge *GridEval, h float64) {
 	inserted := c.ll.PushFront(&cacheEntry{key: key, ge: ge, h: h})
 	c.entries[key] = inserted
 	c.weight += ge.Cost()
+	c.retainSubsLocked(ge)
 	for c.ll.Len() > 1 && (c.ll.Len() > c.cap || (c.weightCap > 0 && c.weight > c.weightCap)) {
 		victim := c.ll.Back()
 		if c.weightCap > 0 {
@@ -355,6 +360,7 @@ func (c *PlanCache) admitLocked(key cacheKey, ge *GridEval, h float64) {
 		entry := victim.Value.(*cacheEntry)
 		delete(c.entries, entry.key)
 		c.weight -= entry.ge.Cost()
+		c.releaseSubsLocked(entry.ge)
 		c.stats.Evictions++
 	}
 }
@@ -383,9 +389,9 @@ func (c *PlanCache) Invalidate(fp graph.Fingerprint) int {
 			f.invalidated = true
 		}
 	}
-	// Component sub-plans are deliberately not touched: they are keyed by
-	// component content shared across graphs, and the point of a mutation
-	// is that untouched components keep their cached work.
+	// Component sub-plans leave only with their last owning entry: those
+	// shared with other cached graphs stay, and a session mutating the
+	// invalidated graph still reuses them through its own plan.
 	removed := 0
 	for el := c.ll.Front(); el != nil; {
 		next := el.Next()
@@ -393,6 +399,7 @@ func (c *PlanCache) Invalidate(fp graph.Fingerprint) int {
 			c.ll.Remove(el)
 			delete(c.entries, entry.key)
 			c.weight -= entry.ge.Cost()
+			c.releaseSubsLocked(entry.ge)
 			c.stats.Invalidations++
 			removed++
 		}
@@ -411,7 +418,7 @@ func (c *PlanCache) Stats() CacheStats {
 	defer c.mu.Unlock()
 	s := c.stats
 	s.Entries = c.ll.Len()
-	s.SubPlanEntries = c.subLL.Len()
+	s.SubPlanEntries = len(c.subs)
 	s.Weight = c.weight
 	s.WeightCapacity = c.weightCap
 	s.EntryWeights = make([]int64, 0, c.ll.Len())

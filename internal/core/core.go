@@ -192,6 +192,10 @@ type GridEval struct {
 	fdeltas     []float64
 	fsf         float64
 	stats       forestlp.Stats
+	// subs holds the sub-plans of the non-trivial components, keyed by
+	// component fingerprint, for evaluations assembled by a PlanCache (see
+	// subplan.go); nil for monolithic and snapshot-loaded evaluations.
+	subs map[graph.Fingerprint]*subPlan
 }
 
 // N returns the vertex count of the evaluated graph.
@@ -224,14 +228,18 @@ func (ge *GridEval) Stats() forestlp.Stats { return ge.stats }
 // here); every other plan-relevant option — DeltaMax and the ForestLP
 // configuration — is baked into the returned evaluation.
 func EvaluateGrid(ctx context.Context, g *graph.Graph, opts Options) (*GridEval, error) {
+	return EvaluateGridCSR(ctx, graph.NewCSR(g), opts)
+}
+
+// EvaluateGridCSR is EvaluateGrid on an existing snapshot of the graph.
+func EvaluateGridCSR(ctx context.Context, csr *graph.CSR, opts Options) (*GridEval, error) {
 	if opts.Epsilon == 0 {
-		opts.Epsilon = 1 // ε does not enter the grid values; see doc comment
+		opts.Epsilon = 1 // ε does not enter the grid values; see EvaluateGrid
 	}
-	opts, err := opts.withDefaults(g.N())
+	opts, err := opts.withDefaults(csr.N())
 	if err != nil {
 		return nil, err
 	}
-	csr := graph.NewCSR(g)
 	return evaluateGridCSR(ctx, csr, csr.Fingerprint(), opts)
 }
 

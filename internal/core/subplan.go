@@ -6,7 +6,7 @@ package core
 // evaluations — and those per-component results are cacheable under the
 // component's own canonical fingerprint. The cache's miss path therefore
 // assembles evaluations component-wise: each non-trivial component either
-// hits the sub-plan cache or is evaluated as a single-shard forestlp plan,
+// reuses a sub-plan or is evaluated as a single-shard forestlp plan,
 // and the per-component value vectors are merged in deterministic shard
 // order. After a graph mutation (Session.ApplyDelta) only the touched
 // components have new fingerprints; every untouched component hits, so a
@@ -36,10 +36,22 @@ package core
 //     not propagated: their shard indices are meaningless across cache
 //     reuse, so stored sub-plans drop them.)
 //
-// Sub-plans are bounded by a simple entry-count LRU, separate from the
-// whole-graph entry bounds, and are not persisted in snapshots: they are
-// derived state, cheap to refill, and keyed by fingerprints that a snapshot
-// of whole-graph evaluations cannot validate.
+// Sub-plans have no bound of their own: their lifetime follows the plans
+// that use them. Every assembled GridEval owns the sub-plans of its
+// non-trivial components, and the cache's sub-plan index holds the
+// sub-plans of its resident entries, reference-counted over them — a
+// sub-plan enters with the first entry that owns it and leaves with the
+// last (eviction or Invalidate). A miss resolves each component against
+// that index first, then against the caller's previous plan (a session's
+// pre-delta evaluation, which may already have left the cache), and
+// evaluates it only when both lack it — once per distinct fingerprint,
+// however often that component repeats in the graph. Hits and misses thus
+// depend only on the sequence of cache operations, never on the garbage
+// collector. Sub-plans are not persisted in snapshots: they are derived
+// state, cheap to refill, and keyed by fingerprints that a snapshot of
+// whole-graph evaluations cannot validate. A plan loaded from a snapshot
+// therefore owns none, and its first delta re-plans every component that
+// no other cached plan owns.
 
 import (
 	"context"
@@ -50,12 +62,6 @@ import (
 	"nodedp/internal/graph"
 	"nodedp/internal/mechanism"
 )
-
-// DefaultSubPlanCapacity bounds the number of cached per-component
-// sub-plans. Components are much smaller than whole graphs (their value
-// vectors are one float per grid point), so the sub-plan cache affords a
-// larger entry count than the whole-graph bound.
-const DefaultSubPlanCapacity = 256
 
 // subPlanKey identifies one component's grid evaluation: the component's
 // canonical fingerprint (local-rank renumbering, see
@@ -68,12 +74,11 @@ type subPlanKey struct {
 	opts string
 }
 
-// subPlan is one non-trivial component's cached share of a grid
-// evaluation. It is immutable after insertion and shared by reference.
+// subPlan is one non-trivial component's share of a grid evaluation. It
+// is immutable once evaluated and shared by reference between plans.
 //
 //privacy:secret — values are exact per-component f_Δ evaluations, pre-noise (see GridEval).
 type subPlan struct {
-	n, m int
 	// values[j] is the component's contribution to f_Δ at grid point j,
 	// clamped to [0, n−1] by the per-shard evaluator.
 	values []float64
@@ -82,37 +87,38 @@ type subPlan struct {
 	stats forestlp.Stats
 }
 
-// subLookupLocked returns the cached sub-plan for key and refreshes its
-// recency, or nil. c.mu must be held. Sub-plan recency is not persisted
-// state, so no gen bump.
-func (c *PlanCache) subLookupLocked(key subPlanKey) *subPlan {
-	el, ok := c.subEntries[key]
-	if !ok {
-		return nil
-	}
-	c.subLL.MoveToFront(el)
-	return el.Value.(*subPlanEntry).sub
+// subRef is one sub-plan index entry: the sub-plan and the number of
+// resident whole-graph entries that own it.
+type subRef struct {
+	sub  *subPlan
+	refs int
 }
 
-type subPlanEntry struct {
-	key subPlanKey
-	sub *subPlan
+// retainSubsLocked counts a newly resident entry as an owner of each of
+// its sub-plans (c.mu held). An indexed sub-plan of the same key keeps its
+// place: both hold identical values.
+func (c *PlanCache) retainSubsLocked(ge *GridEval) {
+	for fp, sp := range ge.subs {
+		key := subPlanKey{fp: fp, opts: ge.optsDigest}
+		if r, ok := c.subs[key]; ok {
+			r.refs++
+		} else {
+			c.subs[key] = &subRef{sub: sp, refs: 1}
+		}
+	}
 }
 
-// subInsertLocked admits a sub-plan (c.mu held), evicting the
-// least-recently-used entry past the capacity bound. A racing insert of
-// the same key keeps the existing entry — both computed identical values.
-func (c *PlanCache) subInsertLocked(key subPlanKey, sp *subPlan) {
-	if el, ok := c.subEntries[key]; ok {
-		c.subLL.MoveToFront(el)
-		return
-	}
-	c.subEntries[key] = c.subLL.PushFront(&subPlanEntry{key: key, sub: sp})
-	for c.subLL.Len() > c.subCap {
-		victim := c.subLL.Back()
-		c.subLL.Remove(victim)
-		delete(c.subEntries, victim.Value.(*subPlanEntry).key)
-		c.stats.SubPlanEvictions++
+// releaseSubsLocked drops a departing entry's ownership (c.mu held) and
+// releases every sub-plan it was the last owner of.
+func (c *PlanCache) releaseSubsLocked(ge *GridEval) {
+	for fp := range ge.subs {
+		key := subPlanKey{fp: fp, opts: ge.optsDigest}
+		if r := c.subs[key]; r.refs > 1 {
+			r.refs--
+		} else {
+			delete(c.subs, key)
+			c.stats.SubPlanEvictions++
+		}
 	}
 }
 
@@ -121,8 +127,9 @@ func (c *PlanCache) subInsertLocked(key subPlanKey, sp *subPlan) {
 // evaluateGridCSR on the same snapshot (see the file comment for why).
 // Both cold opens and delta-opens funnel through here, which is what makes
 // "delta-open ≡ cold open" hold by construction rather than by parallel
-// maintenance of two evaluation paths. opts must already carry defaults.
-func (c *PlanCache) assembleGridCSR(ctx context.Context, csr *graph.CSR, fp graph.Fingerprint, opts Options) (*GridEval, error) {
+// maintenance of two evaluation paths. prev (may be nil) is the caller's
+// previous plan; opts must already carry defaults.
+func (c *PlanCache) assembleGridCSR(ctx context.Context, csr *graph.CSR, fp graph.Fingerprint, prev *GridEval, opts Options) (*GridEval, error) {
 	grid, err := mechanism.PowerOfTwoGrid(opts.DeltaMax)
 	if err != nil {
 		return nil, err
@@ -136,7 +143,7 @@ func (c *PlanCache) assembleGridCSR(ctx context.Context, csr *graph.CSR, fp grap
 	// Components count.
 	type compSlot struct {
 		shard *graph.Shard
-		key   subPlanKey
+		fp    graph.Fingerprint
 		sub   *subPlan
 	}
 	slots := make([]compSlot, 0, len(shards))
@@ -146,53 +153,68 @@ func (c *PlanCache) assembleGridCSR(ctx context.Context, csr *graph.CSR, fp grap
 			continue
 		}
 		fsf += sh.N() - 1
-		slots = append(slots, compSlot{shard: sh, key: subPlanKey{fp: fps[i], opts: digest}})
+		slots = append(slots, compSlot{shard: sh, fp: fps[i]})
 	}
 
+	// subs becomes the new plan's sub-plans, one per distinct component
+	// fingerprint: from the cache's index, else from prev, else evaluated.
+	subs := make(map[graph.Fingerprint]*subPlan, len(slots))
 	c.mu.Lock()
-	for i := range slots {
-		if sp := c.subLookupLocked(slots[i].key); sp != nil {
-			slots[i].sub = sp
-			c.stats.SubPlanHits++
-		} else {
-			c.stats.SubPlanMisses++
+	for _, sl := range slots {
+		if r, ok := c.subs[subPlanKey{fp: sl.fp, opts: digest}]; ok {
+			subs[sl.fp] = r.sub
 		}
 	}
 	c.mu.Unlock()
+	var prevSubs map[graph.Fingerprint]*subPlan
+	if prev != nil && prev.optsDigest == digest {
+		prevSubs = prev.subs
+	}
+	var hits, misses int64
+	defer func() {
+		c.mu.Lock()
+		c.stats.SubPlanHits += hits
+		c.stats.SubPlanMisses += misses
+		c.mu.Unlock()
+	}()
 
 	// Evaluate the missing components sequentially in shard order. Grid
 	// points inside each component still run on the configured SepWorkers
 	// pool, and sequential component order keeps span creation — and
 	// therefore the trace tree — deterministic, exactly like the
-	// monolithic sweep's sequential grid loop. A completed component is
-	// admitted immediately: if a later component fails (error, fault,
-	// cancelation), the finished sub-plans are complete, correct
-	// evaluations and stay cached for the retry, while the whole-graph
-	// entry is never formed.
+	// monolithic sweep's sequential grid loop. If a component fails
+	// (error, fault, cancelation), no plan is formed and the sub-plans
+	// evaluated so far go with it; a retried delta still reuses every
+	// untouched component through prev.
 	for i := range slots {
-		if slots[i].sub != nil {
+		sl := &slots[i]
+		if sp, ok := subs[sl.fp]; ok {
+			sl.sub = sp
+			hits++
 			continue
 		}
-		sh := slots[i].shard
-		values, stats, err := forestlp.NewPlanCSR(&sh.CSR).GridValues(ctx, grid, opts.ForestLP)
-		if err != nil {
-			return nil, fmt.Errorf("core: component %d (n=%d): %w", i, sh.N(), err)
+		if sp, ok := prevSubs[sl.fp]; ok {
+			sl.sub, subs[sl.fp] = sp, sp
+			hits++
+			continue
 		}
-		// Failpoint between a component's evaluation and its admission: a
-		// firing site proves a fault-tainted sub-plan never enters the
-		// sub-plan cache and never reaches the merge below.
+		misses++
+		values, stats, err := forestlp.NewPlanCSR(&sl.shard.CSR).GridValues(ctx, grid, opts.ForestLP)
+		if err != nil {
+			return nil, fmt.Errorf("core: component %d (n=%d): %w", i, sl.shard.N(), err)
+		}
+		// Failpoint between a component's evaluation and its admission to
+		// the plan: a firing site proves a fault-tainted sub-plan never
+		// reaches the merge below or the sub-plan index.
 		if err := fault.Hit("core.subplan.admit"); err != nil {
 			return nil, err
 		}
 		stats.Shards = nil // timing indices are meaningless across reuse
-		sp := &subPlan{n: sh.N(), m: sh.M(), values: values, stats: stats}
-		slots[i].sub = sp
-		c.mu.Lock()
-		c.subInsertLocked(slots[i].key, sp)
-		c.mu.Unlock()
+		sl.sub = &subPlan{values: values, stats: stats}
+		subs[sl.fp] = sl.sub
 	}
 
-	// Failpoint before the merge: every sub-plan is admitted, but the
+	// Failpoint before the merge: every sub-plan is resolved, but the
 	// whole-graph evaluation must still fail atomically — no partial
 	// GridEval, no whole-graph cache entry.
 	if err := fault.Hit("core.subplan.merge"); err != nil {
@@ -237,5 +259,6 @@ func (c *PlanCache) assembleGridCSR(ctx context.Context, csr *graph.CSR, fp grap
 		fdeltas:     values,
 		fsf:         float64(fsf),
 		stats:       merged,
+		subs:        subs,
 	}, nil
 }

@@ -11,6 +11,8 @@ package graph
 // engine (internal/forestlp) plans its work over these shards and reuses
 // one snapshot across the whole Δ-grid of Algorithm 1.
 
+import "sync"
+
 // CSR is an immutable compressed-sparse-row view of an undirected simple
 // graph on vertices 0..N-1. The zero value is an empty graph on zero
 // vertices. A CSR is safe for concurrent use by multiple goroutines.
@@ -22,6 +24,16 @@ type CSR struct {
 	offsets []int
 	targets []int
 	m       int
+	// comps memoizes Components for snapshots built by NewCSR; it is nil
+	// on shards and on the zero value, which label on every call.
+	comps *componentLabels
+}
+
+// componentLabels is the once-computed component labeling of a snapshot.
+type componentLabels struct {
+	once   sync.Once
+	labels []int
+	count  int
 }
 
 // NewCSR builds a CSR snapshot of g. Later mutations of g are not
@@ -32,6 +44,7 @@ func NewCSR(g *Graph) *CSR {
 		offsets: make([]int, n+1),
 		targets: make([]int, 2*g.M()),
 		m:       g.M(),
+		comps:   new(componentLabels),
 	}
 	for v := 0; v < n; v++ {
 		c.offsets[v+1] = c.offsets[v] + g.Degree(v)
@@ -96,7 +109,18 @@ func (c *CSR) Edges() []Edge {
 // Components labels every vertex with a component id in [0, count).
 // Ids are assigned in increasing order of the smallest vertex in the
 // component — the same deterministic order as Graph.Components.
+// A snapshot built by NewCSR labels once and returns the same slice on
+// every call, so callers must not modify it.
 func (c *CSR) Components() (labels []int, count int) {
+	if c.comps == nil {
+		return c.labelComponents()
+	}
+	c.comps.once.Do(func() { c.comps.labels, c.comps.count = c.labelComponents() })
+	return c.comps.labels, c.comps.count
+}
+
+// labelComponents is one depth-first labeling pass over the snapshot.
+func (c *CSR) labelComponents() (labels []int, count int) {
 	n := c.N()
 	labels = make([]int, n)
 	for i := range labels {

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -144,4 +145,29 @@ func TestCSREmpty(t *testing.T) {
 	if c3.CountComponents() != 3 || len(c3.ComponentShards()) != 3 {
 		t.Fatalf("edgeless CSR: components=%d", c3.CountComponents())
 	}
+}
+
+// TestCSRComponentsMemoized checks that a snapshot labels its components
+// once: concurrent callers all get the same slice, equal to the labels of
+// the graph it was taken from (run with -race).
+func TestCSRComponentsMemoized(t *testing.T) {
+	g := randomTestGraph(t, 60, 0.03, rand.New(rand.NewPCG(5, 6)))
+	want, wantCount := g.Components()
+	c := NewCSR(g)
+	first, _ := c.Components()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			labels, count := c.Components()
+			if count != wantCount || !reflect.DeepEqual(labels, want) {
+				t.Errorf("labels %v (%d components), want %v (%d)", labels, count, want, wantCount)
+			}
+			if &labels[0] != &first[0] {
+				t.Error("Components relabeled an immutable snapshot")
+			}
+		}()
+	}
+	wg.Wait()
 }

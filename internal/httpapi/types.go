@@ -275,7 +275,9 @@ type CacheInfo struct {
 	EntryWeights   []int64 `json:"entry_weights,omitempty"`
 	// SubPlan* mirror the component-keyed sub-plan layer: hits are
 	// components whose grid values were reused verbatim during a delta
-	// re-plan (or an assembly-backed cold open), misses were evaluated.
+	// re-plan (or an assembly-backed cold open), misses were evaluated;
+	// evictions count sub-plans released with their last owning entry, and
+	// entries is the sub-plan index size.
 	SubPlanHits      int64 `json:"subplan_hits,omitempty"`
 	SubPlanMisses    int64 `json:"subplan_misses,omitempty"`
 	SubPlanEvictions int64 `json:"subplan_evictions,omitempty"`

@@ -227,16 +227,20 @@ func (s *Session) ApplyDelta(ctx context.Context, adds, removes []graph.Edge) (r
 		ge  *core.GridEval
 		hit bool
 	)
+	// One snapshot of the mutated graph serves the re-plan, the component
+	// bookkeeping below, and the swap. The pre-delta plan lends its
+	// sub-plans to the untouched components.
+	newCSR := graph.NewCSR(s.live)
 	if s.cache != nil {
 		before := s.cache.Stats()
-		ge, hit, err = s.cache.GridEval(ctx, s.live, probe)
+		ge, hit, err = s.cache.GridEvalCSR(ctx, newCSR, cur.ge, probe)
 		if err == nil {
 			after := s.cache.Stats()
 			res.SubPlanHits = after.SubPlanHits - before.SubPlanHits
 			res.SubPlanMisses = after.SubPlanMisses - before.SubPlanMisses
 		}
 	} else {
-		ge, err = core.EvaluateGrid(ctx, s.live, probe)
+		ge, err = core.EvaluateGridCSR(ctx, newCSR, probe)
 	}
 	if err != nil {
 		rollback()
@@ -247,7 +251,8 @@ func (s *Session) ApplyDelta(ctx context.Context, adds, removes []graph.Edge) (r
 
 	// Component bookkeeping: union-find over pre-delta component labels
 	// counts the merges the additions performed; post-delta labels locate
-	// the touched components. Both passes run on immutable CSR snapshots.
+	// the touched components. Both read the labels memoized on the
+	// immutable CSR snapshots.
 	preLabels, preLabelCount := cur.csr.Components()
 	dsu := unionfind.New(preLabelCount)
 	merged := 0
@@ -256,7 +261,6 @@ func (s *Session) ApplyDelta(ctx context.Context, adds, removes []graph.Edge) (r
 			merged++
 		}
 	}
-	newCSR := graph.NewCSR(s.live)
 	postLabels, postCount := newCSR.Components()
 	touched := make(map[int]struct{}, 2*(len(appliedAdds)+len(appliedRemoves)))
 	for _, e := range appliedAdds {

@@ -195,3 +195,93 @@ func TestDeltaOpenBitIdenticalToColdOpen(t *testing.T) {
 		}
 	}
 }
+
+// distinctTreesGraph returns a forest of k labelled trees on six vertices
+// each, tree j on vertices 6j..6j+5 decoded from the j-th Prüfer sequence.
+// Distinct sequences decode to distinct labelled trees, and a component's
+// fingerprint is taken over local vertex ranks, so the k components are
+// pairwise distinct to the sub-plan layer (k ≤ 6⁴).
+func distinctTreesGraph(t *testing.T, k int) *graph.Graph {
+	t.Helper()
+	const size = 6
+	var edges []graph.Edge
+	for j := 0; j < k; j++ {
+		degree := []int{1, 1, 1, 1, 1, 1}
+		seq := make([]int, size-2)
+		for i, x := 0, j; i < len(seq); i, x = i+1, x/size {
+			seq[i] = x % size
+			degree[seq[i]]++
+		}
+		link := func(u, v int) { edges = append(edges, graph.NewEdge(j*size+u, j*size+v)) }
+		for _, x := range seq {
+			leaf := 0
+			for degree[leaf] != 1 {
+				leaf++
+			}
+			link(leaf, x)
+			degree[leaf]--
+			degree[x]--
+		}
+		u := -1
+		for v, d := range degree {
+			if d == 1 && u < 0 {
+				u = v
+			} else if d == 1 {
+				link(u, v)
+			}
+		}
+	}
+	g, err := graph.FromEdges(k*size, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestDeltaReplansOnlyTouchedComponents pins the O(touched) cost of a
+// delta on a graph of 640 pairwise-distinct components: a one-edge delta
+// re-evaluates at most the components it touches, whether the untouched
+// sub-plans come from the cache's index or — after a second graph has
+// evicted the pre-delta entry — from the session's own plan.
+func TestDeltaReplansOnlyTouchedComponents(t *testing.T) {
+	const k = 640
+	g := distinctTreesGraph(t, k)
+	seen := make(map[graph.Fingerprint]bool)
+	for _, fp := range graph.NewCSR(g).ComponentFingerprints() {
+		seen[fp] = true
+	}
+	if len(seen) != k {
+		t.Fatalf("%d distinct component fingerprints, want %d", len(seen), k)
+	}
+	bridge := graph.NewEdge(0, 6) // joins trees 0 and 1
+	ctx := context.Background()
+
+	for _, evict := range []bool{false, true} {
+		t.Run(fmt.Sprintf("evict=%v", evict), func(t *testing.T) {
+			cache := core.NewPlanCache(8)
+			if evict {
+				cache = core.NewPlanCache(1)
+			}
+			live := mustOpen(t, g, SessionOptions{TotalBudget: 100, Cache: cache})
+			if evict {
+				mustOpen(t, testGraph(t), SessionOptions{TotalBudget: 1, Cache: cache})
+				if st := cache.Stats(); st.Evictions != 1 || st.SubPlanEntries >= k {
+					t.Fatalf("second open left %d evictions and %d sub-plans; want the pre-delta entry and its sub-plans gone",
+						st.Evictions, st.SubPlanEntries)
+				}
+			}
+			res, err := live.ApplyDelta(ctx, []graph.Edge{bridge}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.TouchedComponents != 1 || res.SubPlanMisses > int64(res.TouchedComponents) {
+				t.Errorf("one-edge delta touched %d components and re-evaluated %d; want 1 and at most 1",
+					res.TouchedComponents, res.SubPlanMisses)
+			}
+			if res.SubPlanHits != k-2 {
+				t.Errorf("SubPlanHits = %d, want %d (every untouched tree reused)", res.SubPlanHits, k-2)
+			}
+			assertMatchesColdOpen(t, live, mutate(t, g, []graph.Edge{bridge}, nil), forestlp.Options{})
+		})
+	}
+}

@@ -280,10 +280,11 @@ func Open(ctx context.Context, g *graph.Graph, opts SessionOptions) (*Session, e
 		hit bool
 		err error
 	)
+	csr := graph.NewCSR(g)
 	if opts.Cache != nil {
-		ge, hit, err = opts.Cache.GridEval(ctx, g, probe)
+		ge, hit, err = opts.Cache.GridEvalCSR(ctx, csr, nil, probe)
 	} else {
-		ge, err = core.EvaluateGrid(ctx, g, probe)
+		ge, err = core.EvaluateGridCSR(ctx, csr, probe)
 	}
 	if err != nil {
 		return nil, err
@@ -301,7 +302,7 @@ func Open(ctx context.Context, g *graph.Graph, opts SessionOptions) (*Session, e
 		audit:     opts.Audit,
 		scope:     ge.Fingerprint().String(),
 	}
-	s.snap.Store(&snapshot{ge: ge, csr: graph.NewCSR(g), built: !hit})
+	s.snap.Store(&snapshot{ge: ge, csr: csr, built: !hit})
 	if !hit {
 		s.plansBuilt.Store(1)
 	}
